@@ -19,8 +19,6 @@
 //! * [`Frontier`] — sparse/dense BFS frontier with degree-weighted size
 //!   tracking and queue↔bitmap repacking for direction-optimizing
 //!   traversal.
-//! * [`FullEmptyCell`] — an emulation of the XMT's full/empty-bit
-//!   synchronized memory word.
 //! * [`prefix`] — parallel prefix sums used when packing frontiers and
 //!   building CSR offsets.
 //! * [`histogram`] — parallel counting/histogram reductions.
@@ -36,7 +34,6 @@ pub mod atomic_array;
 pub mod bitmap;
 pub mod bitmat;
 pub mod frontier;
-pub mod full_empty;
 pub mod histogram;
 pub mod prefix;
 pub mod reduce;
@@ -46,7 +43,6 @@ pub use atomic_array::{AtomicF64Array, AtomicU32Array, AtomicUsizeArray};
 pub use bitmap::AtomicBitmap;
 pub use bitmat::AtomicBitMatrix;
 pub use frontier::Frontier;
-pub use full_empty::FullEmptyCell;
 
 /// Register the calling thread and every rayon worker with the
 /// continuous profiler's thread registry

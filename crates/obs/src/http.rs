@@ -232,6 +232,7 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Resul
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "",
     };
@@ -250,27 +251,33 @@ fn write_response(stream: &mut TcpStream, response: &Response) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{Ipv4Addr, Shutdown};
+    use std::sync::{mpsc, Barrier};
 
-    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+    /// Send `raw` as the whole request, half-close, and return the
+    /// response's status line and body.  The read timeout turns a
+    /// server hang into a test failure.
+    fn send(addr: SocketAddr, raw: &[u8]) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write!(
-            stream,
-            "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
         let mut text = String::new();
         stream.read_to_string(&mut text).unwrap();
-        let status: u16 = text
-            .lines()
-            .next()
-            .and_then(|l| l.split(' ').nth(1))
-            .and_then(|s| s.parse().ok())
-            .unwrap();
-        let body = text
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_owned())
-            .unwrap_or_default();
-        (status, body)
+        let (head, body) = text.split_once("\r\n\r\n").expect("response head");
+        (head.lines().next().unwrap().to_owned(), body.to_owned())
+    }
+
+    fn status(line: &str) -> u16 {
+        line.split(' ').nth(1).and_then(|s| s.parse().ok()).unwrap()
+    }
+
+    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+        let request = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+        let (line, body) = send(addr, request.as_bytes());
+        (status(&line), body)
     }
 
     fn test_handler() -> Arc<Handler> {
@@ -282,6 +289,20 @@ mod tests {
                 _ => Response::text(405, "method not allowed\n"),
             },
         )
+    }
+
+    /// Run `f` on a thread and fail, instead of hanging the suite, if
+    /// it does not finish within ten seconds.
+    fn within_deadline(f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("did not finish within 10 s");
+        thread.join().unwrap();
     }
 
     #[test]
@@ -312,5 +333,86 @@ mod tests {
         }
         server.stop();
         assert!(TcpStream::connect(addr).is_err());
+    }
+
+    #[test]
+    fn stop_on_an_unspecified_address_releases_the_port() {
+        let server = HttpServer::bind_pooled("0.0.0.0:0", test_handler(), 2).unwrap();
+        let port = server.local_addr().port();
+        let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, port));
+        assert_eq!(get(loopback, "/hello").0, 200);
+        within_deadline(move || server.stop());
+        assert!(TcpStream::connect(loopback).is_err(), "port released");
+    }
+
+    #[test]
+    fn stop_lets_an_in_flight_request_finish() {
+        let entered = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let handler: Arc<Handler> = {
+            let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+            Arc::new(move |_: &str, _: &str, _: &str| {
+                entered.wait();
+                release.wait();
+                Response::text(200, "slow\n")
+            })
+        };
+        let server = HttpServer::bind("127.0.0.1:0", handler).unwrap();
+        let addr = server.local_addr();
+        let stopping = Arc::clone(&server.stop);
+        let client = std::thread::spawn(move || get(addr, "/slow"));
+        entered.wait();
+        let stopper = std::thread::spawn(move || within_deadline(move || server.stop()));
+        // Release the handler only once `stop()` has begun.
+        while !stopping.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        release.wait();
+        assert_eq!(client.join().unwrap(), (200, "slow\n".to_owned()));
+        stopper.join().unwrap();
+        assert!(TcpStream::connect(addr).is_err());
+    }
+
+    #[test]
+    fn corrupt_heads_get_a_status_and_leave_the_worker_serving() {
+        let server = HttpServer::bind("127.0.0.1:0", test_handler()).unwrap();
+        let addr = server.local_addr();
+        // Exactly one byte past the 8 KB cap, so the reader stops with
+        // nothing left unread (unread bytes would make close send RST).
+        let mut oversized = b"GET /".to_vec();
+        oversized.resize(8193, b'x');
+        let cases: [(&str, &[u8], u16); 4] = [
+            ("8 KB cap, no CRLFCRLF", &oversized, 404),
+            (
+                "non-UTF-8 request line",
+                b"\xff\xfe /hello HTTP/1.1\r\n\r\n",
+                405,
+            ),
+            ("no target", b"GET\r\n\r\n", 404),
+            (
+                "half-closed before the blank line",
+                b"GET /missing HTTP/1.1\r\nHost: test\r\n",
+                404,
+            ),
+        ];
+        for (name, raw, expected) in cases {
+            assert_eq!(status(&send(addr, raw).0), expected, "{name}");
+        }
+        assert_eq!(get(addr, "/hello"), (200, "hi\n".to_owned()));
+        server.stop();
+    }
+
+    #[test]
+    fn every_emitted_status_has_a_reason_phrase() {
+        let handler: Arc<Handler> =
+            Arc::new(|_: &str, path: &str, _: &str| Response::text(path[1..].parse().unwrap(), ""));
+        let server = HttpServer::bind("127.0.0.1:0", handler).unwrap();
+        let addr = server.local_addr();
+        for code in [200, 400, 404, 405, 500, 503] {
+            let (line, _) = send(addr, format!("GET /{code} HTTP/1.1\r\n\r\n").as_bytes());
+            let reason = line.strip_prefix(&format!("HTTP/1.1 {code} ")).unwrap();
+            assert!(!reason.trim().is_empty(), "{line:?}");
+        }
+        server.stop();
     }
 }

@@ -21,12 +21,16 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
     .unwrap();
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
-    let status: u16 = text
-        .lines()
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
+    let status_line = text.lines().next().expect("status line");
+    let mut fields = status_line.splitn(3, ' ');
+    let status: u16 = fields
+        .nth(1)
         .and_then(|s| s.parse().ok())
-        .expect("status line");
+        .expect("status code");
+    assert!(
+        fields.next().is_some_and(|reason| !reason.is_empty()),
+        "status line without a reason phrase: {status_line:?}"
+    );
     let (head, body) = text.split_once("\r\n\r\n").expect("header/body split");
     let content_type = head
         .lines()
@@ -315,6 +319,11 @@ fn legacy_wire_formats_are_unchanged() {
     // Unknown path: exact 404 body.
     let (status, _, body) = http_get(addr, "/nope");
     assert_eq!((status, body.as_str()), (404, "not found\n"));
+
+    // Malformed query parameter: 400 with the versioned error envelope.
+    let (status, _, body) = http_get(addr, "/v1/query/degree?vertex=bogus");
+    assert_eq!(status, 400, "{body}");
+    assert!(parse(&body).expect("JSON").get("error").is_some(), "{body}");
 
     // Non-GET: exact 405 body, on known and unknown paths alike.
     for target in ["/metrics", "/definitely/not/a/route"] {

@@ -13,7 +13,7 @@
 //!   DIMACS/binary/edge-list I/O, vertex labels, and the locality engine
 //!   (vertex permutations + cache-friendly reordering passes).
 //! * [`mt`](graphct_mt) — the multithreaded substrate: atomic arrays
-//!   with fetch-and-add, bitmaps, full/empty cells, prefix sums.
+//!   with fetch-and-add, bitmaps, prefix sums.
 //! * [`kernels`](graphct_kernels) — BFS, connected components,
 //!   betweenness centrality (exact / sampled), k-betweenness, k-cores,
 //!   clustering coefficients, degree statistics, diameter estimation.
