@@ -22,12 +22,12 @@
 //!                            # 1/8/64 eccentricity sweeps vs the per-source
 //!                            # rayon baseline, oracle-checked before timing
 //!                            # (BENCH_MSBFS.json)
-//! repro trace-bfs            # ablation-bfs with per-level telemetry +
-//!                            # disabled-overhead proof (BENCH_TRACE_OVERHEAD.json)
-//! repro obs-overhead         # introspection-plane disabled-path proof: the
-//!                            # histogram/watchdog-instrumented kernels vs the
-//!                            # uninstrumented seed, paired-ratio methodology,
-//!                            # budget 2 % (BENCH_OBS_OVERHEAD.json)
+//! repro trace-bfs            # ablation-bfs traced once per cell, per-level
+//!                            # records schema-checked (TRACE_BFS.jsonl)
+//! repro overhead             # telemetry + profiler cost proof: seed vs
+//!                            # disabled and enabled vs 97 Hz sampler arms on
+//!                            # hybrid BFS and sampled BC, median of paired
+//!                            # ratios, budget 2 % each (BENCH_OVERHEAD.json)
 //! repro serve-load           # query-plane load test: concurrent clients
 //!                            # hammer the /v1/* endpoints of an in-process
 //!                            # live-ingest serve instance, oracle-gated
@@ -42,7 +42,7 @@
 //!                            # p50/p99 columns for series that carry them
 //! ```
 //!
-//! Timing exhibits (fig4, fig6, the ablations, trace-bfs) append their
+//! Timing exhibits (fig4, fig6, the ablations, overhead) append their
 //! per-case means to `BENCH_HISTORY.jsonl` (git SHA + timestamp per
 //! record) so regressions surface across runs, not just within one.
 //!
@@ -58,12 +58,13 @@
 
 use graphct_bench::datasets::build_dataset;
 use graphct_bench::format::{f, n, Table};
-use graphct_bench::timing::time_repeated;
+use graphct_bench::timing::{sample_quantile, time_once, time_repeated};
 use graphct_core::builder::build_undirected_simple;
 use graphct_core::CsrGraph;
 use graphct_kernels::betweenness::{
     betweenness_centrality, BetweennessConfig, SamplingSpec, SamplingStrategy,
 };
+use graphct_kernels::bfs::FrontierKind;
 use graphct_kernels::components::{connected_components, sequential_components, ComponentSummary};
 use graphct_metrics::{fit_power_law, top_k_indices, top_k_overlap};
 use graphct_twitter::conversations::mutual_mention_filter;
@@ -112,7 +113,7 @@ impl Options {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: repro <all|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablation-sampling|ablation-cc|ablation-bfs|reorder|triangles|msbfs|trace-bfs|obs-overhead|prof-overhead|serve-load|trace-validate FILE|check-regress> [--quick] [--full] [--seed N] [--reps N]");
+        eprintln!("usage: repro <all|table2|table3|table4|fig2|fig3|fig4|fig5|fig6|ablation-sampling|ablation-cc|ablation-bfs|reorder|triangles|msbfs|trace-bfs|overhead|serve-load|trace-validate FILE|check-regress> [--quick] [--full] [--seed N] [--reps N]");
         std::process::exit(2);
     }
     let cmd = args.remove(0);
@@ -148,8 +149,7 @@ fn main() {
         "triangles" => triangles_exhibit(opts),
         "msbfs" => msbfs_exhibit(opts),
         "trace-bfs" => trace_bfs(opts),
-        "obs-overhead" => obs_overhead(opts),
-        "prof-overhead" => prof_overhead(opts),
+        "overhead" => overhead(opts),
         "serve-load" => serve_load(opts),
         "trace-validate" => trace_validate(&args),
         "check-regress" => check_regress(),
@@ -197,14 +197,24 @@ fn banner(title: &str) {
     println!("\n==== {title} ====");
 }
 
-/// Append one ledger record per `(case, mean_s)` to
-/// `BENCH_HISTORY.jsonl`.  Best-effort: a read-only working directory
-/// degrades to a warning, not a failed exhibit.
-fn record_history(opts: Options, bench: &str, cases: &[(String, f64)]) {
+/// One ledger case: its name, mean seconds and, for series that carry
+/// latency quantiles, `(p50, p99)` seconds.
+type LedgerCase = (String, f64, Option<(f64, f64)>);
+
+/// Append one ledger record per case to `BENCH_HISTORY.jsonl`.
+/// Best-effort: a read-only working directory degrades to a warning,
+/// not a failed exhibit.
+fn record_history(opts: Options, bench: &str, cases: &[LedgerCase]) {
     use graphct_bench::history;
     let entries: Vec<history::HistoryEntry> = cases
         .iter()
-        .map(|(case, mean)| history::HistoryEntry::now(bench, case, opts.quick, *mean))
+        .map(|(case, mean, quantiles)| {
+            let entry = history::HistoryEntry::now(bench, case, opts.quick, *mean);
+            match quantiles {
+                Some((p50, p99)) => entry.with_quantiles(*p50, *p99),
+                None => entry,
+            }
+        })
         .collect();
     match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
         Ok(()) => println!(
@@ -213,6 +223,15 @@ fn record_history(opts: Options, bench: &str, cases: &[(String, f64)]) {
             history::DEFAULT_PATH
         ),
         Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
+    }
+}
+
+/// Write an exhibit's headline JSON to `out`, best-effort like the
+/// ledger.
+fn write_json(out: &str, json: &str) {
+    match std::fs::write(out, json) {
+        Ok(()) => println!("wrote {out}"),
+        Err(e) => eprintln!("could not write {out}: {e}"),
     }
 }
 
@@ -490,7 +509,7 @@ fn fig4(opts: Options) {
             if pct == 100 {
                 exact_mean = Some(summary.mean);
             }
-            history.push((format!("{name}/{pct}pct"), summary.mean));
+            history.push((format!("{name}/{pct}pct"), summary.mean, None));
             t.row(&[
                 name.to_string(),
                 pct.to_string(),
@@ -599,7 +618,7 @@ fn fig6(opts: Options) {
         });
         let size = g.num_vertices() as f64 * g.num_edges() as f64;
         points.push((size, summary.mean));
-        history.push((name.clone(), summary.mean));
+        history.push((name.clone(), summary.mean, None));
         t.row(&[
             name.clone(),
             n(g.num_vertices()),
@@ -703,7 +722,7 @@ fn fig6_scale_sweep(opts: Options) {
         "vs plain bin",
     ]);
     let mut rows: Vec<String> = Vec::new();
-    let mut history: Vec<(String, f64)> = Vec::new();
+    let mut history: Vec<LedgerCase> = Vec::new();
     let mut trend: Vec<(f64, f64)> = Vec::new();
     let mut ratio_ok_18plus = true;
     for &scale in scales {
@@ -785,8 +804,8 @@ fn fig6_scale_sweep(opts: Options) {
                 bytes.to_string(),
                 format!("{:.2}", bytes as f64 / plain_bin_bytes.max(1) as f64),
             ]);
-            history.push((format!("s{scale}/{label}/bfs"), bfs_s));
-            history.push((format!("s{scale}/{label}/components"), cc_s));
+            history.push((format!("s{scale}/{label}/bfs"), bfs_s, None));
+            history.push((format!("s{scale}/{label}/components"), cc_s, None));
             backend_json.push(format!(
                 "{{\"backend\": \"{label}\", \"bfs_s\": {bfs_s:.6}, \"components_s\": {cc_s:.6}, \"bytes\": {bytes}}}"
             ));
@@ -843,11 +862,7 @@ fn fig6_scale_sweep(opts: Options) {
         scales,
         rows.join(",\n")
     );
-    let out = "BENCH_SCALE.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_SCALE.json", &json);
 }
 
 // ----------------------------------------------------- Ablation: sampling
@@ -921,8 +936,8 @@ fn ablation_cc(opts: Options) {
         opts,
         "ablation_cc",
         &[
-            ("parallel_hook_compress".to_string(), t_par.mean),
-            ("sequential_bfs".to_string(), t_seq.mean),
+            ("parallel_hook_compress".to_string(), t_par.mean, None),
+            ("sequential_bfs".to_string(), t_seq.mean, None),
         ],
     );
     println!(
@@ -934,20 +949,23 @@ fn ablation_cc(opts: Options) {
 
 // ---------------------------------------------------------- Ablation: BFS
 
-/// Direction-optimizing BFS ablation: queue baseline vs forced push,
-/// forced pull, and the adaptive hybrid, on the low-diameter social
-/// shapes (R-MAT, broadcast forest) and a high-diameter path control.
-/// Results land in `BENCH_BFS_DIRECTION.json` in the working directory.
-fn ablation_bfs(opts: Options) {
-    use graphct_kernels::bfs::{BfsConfig, FrontierKind, HybridBfs};
+/// Frontier kinds the BFS direction ablation compares.
+const BFS_KINDS: [FrontierKind; 4] = [
+    FrontierKind::Queue,
+    FrontierKind::Push,
+    FrontierKind::Pull,
+    FrontierKind::Hybrid,
+];
 
-    banner("Ablation — BFS direction optimization (queue vs push vs pull vs hybrid)");
+/// The BFS direction ablation's graphs (shared by `ablation-bfs` and
+/// `trace-bfs`): a low-diameter R-MAT, one giant broadcast tree and a
+/// high-diameter path.  BFS benchmarks traverse the component under
+/// test, so the broadcast forest has a single hub; its other trees are
+/// correctness territory, covered by the equivalence suite.
+fn bfs_ablation_graphs(opts: Options) -> [(&'static str, CsrGraph); 3] {
     let scale = if opts.quick { 12 } else { 16 };
     let cfg = graphct_gen::RmatConfig::paper(scale, 16);
     let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    // One giant broadcast tree: BFS benchmarks traverse the component
-    // under test (the forest's other trees are correctness territory,
-    // covered by the equivalence suite, not timing territory).
     let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
         hubs: 1,
         fanout: if opts.quick { 2_000 } else { 20_000 },
@@ -958,24 +976,27 @@ fn ablation_bfs(opts: Options) {
     let hub = build_undirected_simple(&hub_edges).unwrap();
     let path_n = if opts.quick { 50_000 } else { 200_000 };
     let path = build_undirected_simple(&graphct_gen::classic::path(path_n)).unwrap();
+    [
+        ("rmat (low diameter)", rmat),
+        ("broadcast-hub (low diameter)", hub),
+        ("path (high diameter)", path),
+    ]
+}
 
-    let graphs: [(&str, &CsrGraph); 3] = [
-        ("rmat (low diameter)", &rmat),
-        ("broadcast-hub (low diameter)", &hub),
-        ("path (high diameter)", &path),
-    ];
-    let kinds = [
-        FrontierKind::Queue,
-        FrontierKind::Push,
-        FrontierKind::Pull,
-        FrontierKind::Hybrid,
-    ];
+/// Direction-optimizing BFS ablation: queue baseline vs forced push,
+/// forced pull, and the adaptive hybrid, on the low-diameter social
+/// shapes (R-MAT, broadcast forest) and a high-diameter path control.
+/// Results land in `BENCH_BFS_DIRECTION.json` in the working directory.
+fn ablation_bfs(opts: Options) {
+    use graphct_kernels::bfs::{BfsConfig, HybridBfs};
 
+    banner("Ablation — BFS direction optimization (queue vs push vs pull vs hybrid)");
+    let graphs = bfs_ablation_graphs(opts);
     let mut t = Table::new(&["graph", "frontier", "mean s", "ci90 s", "edges inspected"]);
     let mut entries = Vec::new();
     let mut means: Vec<(String, FrontierKind, f64)> = Vec::new();
-    for (gname, graph) in graphs {
-        for kind in kinds {
+    for (gname, graph) in &graphs {
+        for kind in BFS_KINDS {
             let engine = HybridBfs::with_config(graph, BfsConfig::from_kind(kind));
             // Pull-only on the high-diameter path is the designed-in
             // pathological cell (O(n) levels, each scanning every
@@ -991,7 +1012,7 @@ fn ablation_bfs(opts: Options) {
             });
             let inspected = engine.run(0).edges_inspected;
             t.row(&[
-                gname.into(),
+                (*gname).into(),
                 format!("{kind:?}"),
                 f(summary.mean, 4),
                 f(summary.ci90, 4),
@@ -1009,15 +1030,15 @@ fn ablation_bfs(opts: Options) {
         }
     }
     t.print();
-    let history: Vec<(String, f64)> = means
+    let history: Vec<LedgerCase> = means
         .iter()
-        .map(|(gname, kind, mean)| (format!("{gname}/{kind:?}"), *mean))
+        .map(|(gname, kind, mean)| (format!("{gname}/{kind:?}"), *mean, None))
         .collect();
     record_history(opts, "ablation_bfs", &history);
 
     // Headline ratios: adaptive hybrid vs the legacy queue sweep.
     let mut speedups = Vec::new();
-    for (gname, _) in graphs {
+    for (gname, _) in &graphs {
         let time_of = |k: FrontierKind| {
             means
                 .iter()
@@ -1042,234 +1063,21 @@ fn ablation_bfs(opts: Options) {
         entries.join(",\n"),
         speedups.join(",\n"),
     );
-    let out = "BENCH_BFS_DIRECTION.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_BFS_DIRECTION.json", &json);
 }
 
 // -------------------------------------------------------- Trace: BFS
 
-/// Outcome of one interleaved A/B instrumentation ablation.
-struct AbOverhead {
-    seed: graphct_bench::timing::TimingSummary,
-    inst: graphct_bench::timing::TimingSummary,
-    seed_min: f64,
-    inst_min: f64,
-    /// Per-arm latency quantiles over the raw samples (p50, p99).
-    seed_p50: f64,
-    seed_p99: f64,
-    inst_p50: f64,
-    inst_p99: f64,
-    /// Headline: median of the paired per-rep ratios, as a percentage.
-    overhead_pct: f64,
-    min_overhead_pct: f64,
-    mean_overhead_pct: f64,
-    reps: usize,
-}
-
-/// Nearest-rank quantile over an unsorted sample set.
-fn sample_quantile(samples: &[f64], q: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
-
-/// Time `seed_arm` against `inst_arm` over `reps` interleaved pairs.
-///
-/// The two arms of a pair run back to back, alternating which goes
-/// first, so scheduler and frequency drift hit both and cancel in the
-/// per-pair ratio; the median ratio throws away the bursts that corrupt
-/// a mean (or, when a burst spans a whole arm, even a min).  Min and
-/// mean comparisons are computed alongside for the report.
-fn ab_overhead(reps: usize, seed_arm: &mut dyn FnMut(), inst_arm: &mut dyn FnMut()) -> AbOverhead {
-    use std::time::Instant;
-
-    let time_one = |run: &mut dyn FnMut()| {
-        let t = Instant::now();
-        run();
-        t.elapsed().as_secs_f64()
-    };
-    let mut seed_samples = Vec::with_capacity(reps);
-    let mut inst_samples = Vec::with_capacity(reps);
-    for r in 0..reps {
-        if r % 2 == 0 {
-            seed_samples.push(time_one(seed_arm));
-            inst_samples.push(time_one(inst_arm));
-        } else {
-            inst_samples.push(time_one(inst_arm));
-            seed_samples.push(time_one(seed_arm));
-        }
-    }
-    ab_from_samples(&seed_samples, &inst_samples)
-}
-
-/// Reduce two paired sample sets to the [`AbOverhead`] statistics (the
-/// tail of [`ab_overhead`], split out so exhibits that need arm setup
-/// outside the timed region — like the sampler start/stop in
-/// `prof-overhead` — can run their own pairing loop).
-fn ab_from_samples(seed_samples: &[f64], inst_samples: &[f64]) -> AbOverhead {
-    use graphct_bench::timing::TimingSummary;
-
-    let reps = seed_samples.len();
-    let seed = TimingSummary::from_samples(seed_samples);
-    let inst = TimingSummary::from_samples(inst_samples);
-    let min_of = |s: &[f64]| s.iter().copied().fold(f64::INFINITY, f64::min);
-    let seed_min = min_of(seed_samples);
-    let inst_min = min_of(inst_samples);
-    let mut ratios: Vec<f64> = seed_samples
-        .iter()
-        .zip(inst_samples)
-        .map(|(s, i)| i / s)
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median_ratio = ratios[ratios.len() / 2];
-    AbOverhead {
-        overhead_pct: (median_ratio - 1.0) * 100.0,
-        min_overhead_pct: (inst_min / seed_min - 1.0) * 100.0,
-        mean_overhead_pct: (inst.mean / seed.mean - 1.0) * 100.0,
-        seed,
-        inst,
-        seed_min,
-        inst_min,
-        seed_p50: sample_quantile(seed_samples, 0.5),
-        seed_p99: sample_quantile(seed_samples, 0.99),
-        inst_p50: sample_quantile(inst_samples, 0.5),
-        inst_p99: sample_quantile(inst_samples, 0.99),
-        reps,
-    }
-}
-
-/// Names for the two arms of an A/B comparison: table row labels, JSON
-/// object keys, and the word naming what the overhead *is* in the
-/// verdict line.
-struct ArmLabels {
-    a: &'static str,
-    b: &'static str,
-    json_a: &'static str,
-    json_b: &'static str,
-    what: &'static str,
-}
-
-/// `trace-bfs` / `obs-overhead`: uninstrumented seed kernels vs the
-/// instrumented kernels with tracing disabled.
-const DISABLED_ARMS: ArmLabels = ArmLabels {
-    a: "seed (uninstrumented)",
-    b: "instrumented, tracing off",
-    json_a: "seed_kernel",
-    json_b: "instrumented_disabled",
-    what: "disabled-path",
-};
-
-/// `prof-overhead`: instrumented kernels under a live session, sampler
-/// off vs sampler on.
-const SAMPLER_ARMS: ArmLabels = ArmLabels {
-    a: "session live, sampler off",
-    b: "session live, sampler on",
-    json_a: "sampler_off",
-    json_b: "sampler_on",
-    what: "sampler",
-};
-
-/// Print one kernel's A/B table + verdict line and return its JSON
-/// record for the exhibit's `BENCH_*_OVERHEAD.json`.
-fn report_ab(kernel: &str, ab: &AbOverhead, budget_pct: f64, arms: &ArmLabels) -> String {
-    let mut t = Table::new(&[
-        "kernel",
-        "min s",
-        "mean s",
-        "p50 s",
-        "p99 s",
-        "std dev s",
-        "ci90 s",
-    ]);
-    t.row(&[
-        format!("{kernel}: {}", arms.a),
-        f(ab.seed_min, 6),
-        f(ab.seed.mean, 6),
-        f(ab.seed_p50, 6),
-        f(ab.seed_p99, 6),
-        f(ab.seed.std_dev, 6),
-        f(ab.seed.ci90, 6),
-    ]);
-    t.row(&[
-        format!("{kernel}: {}", arms.b),
-        f(ab.inst_min, 6),
-        f(ab.inst.mean, 6),
-        f(ab.inst_p50, 6),
-        f(ab.inst_p99, 6),
-        f(ab.inst.std_dev, 6),
-        f(ab.inst.ci90, 6),
-    ]);
-    t.print();
-    println!(
-        "{kernel} {} overhead: {:+.2}% median-of-paired-ratios \
-         ({:+.2}% min-vs-min, {:+.2}% mean-vs-mean; budget {budget_pct}%) \
-         over {} interleaved reps\n",
-        arms.what, ab.overhead_pct, ab.min_overhead_pct, ab.mean_overhead_pct, ab.reps
-    );
-    format!(
-        "    {{\n      \"kernel\": \"{kernel}\",\n      \"reps\": {},\n      \"{}\": {{\"min_s\": {:.6}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}}},\n      \"{}\": {{\"min_s\": {:.6}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}}},\n      \"overhead_pct\": {:.4},\n      \"min_overhead_pct\": {:.4},\n      \"mean_overhead_pct\": {:.4},\n      \"within_budget\": {}\n    }}",
-        ab.reps,
-        arms.json_a,
-        ab.seed_min,
-        ab.seed.mean,
-        ab.seed_p50,
-        ab.seed_p99,
-        ab.seed.std_dev,
-        ab.seed.ci90,
-        arms.json_b,
-        ab.inst_min,
-        ab.inst.mean,
-        ab.inst_p50,
-        ab.inst_p99,
-        ab.inst.std_dev,
-        ab.inst.ci90,
-        ab.overhead_pct,
-        ab.min_overhead_pct,
-        ab.mean_overhead_pct,
-        ab.overhead_pct <= budget_pct,
-    )
-}
-
-/// The PR 1 BFS ablation re-run with telemetry enabled (per-level
-/// records land in `TRACE_BFS.jsonl`), followed by the disabled-path
-/// overhead proof against the uninstrumented seed kernels — hybrid BFS
-/// and sampled betweenness — (`BENCH_TRACE_OVERHEAD.json`, budget
-/// ≤ 2 %).
+/// The BFS ablation re-run once per cell under a JSON-lines session:
+/// per-level records land in `TRACE_BFS.jsonl`, which is then checked
+/// against the event schema.  Nothing here is timed; the telemetry's
+/// cost is proven by `repro overhead`.
 fn trace_bfs(opts: Options) {
-    use graphct_bench::seed_baseline::{seed_betweenness, SeedHybridBfs};
-    use graphct_kernels::bfs::{BfsConfig, FrontierKind, HybridBfs};
+    use graphct_kernels::bfs::{BfsConfig, HybridBfs};
     use std::sync::Arc;
 
-    banner("Trace — BFS ablation with per-level telemetry + disabled-overhead proof");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    let hub_cfg = graphct_gen::broadcast::BroadcastConfig {
-        hubs: 1,
-        fanout: if opts.quick { 2_000 } else { 20_000 },
-        decay: 0.001,
-        max_depth: 4,
-    };
-    let (hub_edges, _) = graphct_gen::broadcast::broadcast_forest(&hub_cfg, opts.seed);
-    let hub = build_undirected_simple(&hub_edges).unwrap();
-    let path_n = if opts.quick { 50_000 } else { 200_000 };
-    let path = build_undirected_simple(&graphct_gen::classic::path(path_n)).unwrap();
-    let graphs: [(&str, &CsrGraph); 3] = [
-        ("rmat (low diameter)", &rmat),
-        ("broadcast-hub (low diameter)", &hub),
-        ("path (high diameter)", &path),
-    ];
-    let kinds = [
-        FrontierKind::Queue,
-        FrontierKind::Push,
-        FrontierKind::Pull,
-        FrontierKind::Hybrid,
-    ];
-
-    // -- Part 1: run every ablation cell once under a JSON-lines session.
+    banner("Trace — BFS ablation with per-level telemetry");
+    let graphs = bfs_ablation_graphs(opts);
     let trace_out = "TRACE_BFS.jsonl";
     let sink = match graphct_trace::JsonLinesSink::create(std::path::Path::new(trace_out)) {
         Ok(s) => Arc::new(s),
@@ -1280,8 +1088,8 @@ fn trace_bfs(opts: Options) {
     };
     let session = graphct_trace::Session::start(sink);
     let mut hybrid_records = Vec::new();
-    for (gname, graph) in graphs {
-        for kind in kinds {
+    for (gname, graph) in &graphs {
+        for kind in BFS_KINDS {
             if kind == FrontierKind::Pull && gname.contains("high") {
                 // O(n) pull levels on the path graph would swamp the
                 // trace with hundreds of thousands of records; the
@@ -1319,337 +1127,127 @@ fn trace_bfs(opts: Options) {
             r.edges_inspected
         );
     }
-
-    match std::fs::read_to_string(trace_out) {
-        Ok(text) => match graphct_trace::schema::validate_jsonl(&text) {
-            Ok(count) => println!("\n{trace_out}: {count} records, all schema-valid"),
-            Err((line, msg)) => {
-                eprintln!("{trace_out}:{line}: schema violation: {msg}");
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("could not re-read {trace_out}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    // -- Part 2: interleaved A/B overhead measurements, tracing disabled.
-    assert!(
-        !graphct_trace::enabled(),
-        "session must be finished before the overhead measurement"
-    );
-    let budget_pct = 2.0;
-
-    // BFS arm.  Each sample batches several sources so per-sample work
-    // dwarfs the timer quantum.
-    let config = BfsConfig::hybrid();
-    let seed_engine = SeedHybridBfs::with_config(&rmat, config);
-    let inst_engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    // Warm both paths before timing.
-    std::hint::black_box(seed_engine.levels(0));
-    std::hint::black_box(inst_engine.levels(0));
-    let reps = opts.reps.max(50);
-    const BATCH: u32 = 8;
-    let bfs_ab = ab_overhead(
-        reps,
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(seed_engine.levels((s * 37 + 11) % n));
-            }
-        },
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(inst_engine.levels((s * 37 + 11) % n));
-            }
-        },
-    );
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &DISABLED_ARMS);
-
-    // Betweenness arm: sampled Brandes on the same graph, one full call
-    // per sample (each call already batches its sources).
-    let bc_config = graphct_kernels::betweenness::BetweennessConfig {
-        sampling: graphct_kernels::betweenness::SamplingSpec::count(16, opts.seed),
-        bfs: config,
-        ..graphct_kernels::betweenness::BetweennessConfig::exact()
-    };
-    std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-    std::hint::black_box(
-        graphct_kernels::betweenness::betweenness_centrality(&rmat, &bc_config)
-            .unwrap()
-            .scores,
-    );
-    let bc_reps = opts.reps.max(30);
-    let bc_ab = ab_overhead(
-        bc_reps,
-        &mut || {
-            std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-        },
-        &mut || {
-            std::hint::black_box(
-                graphct_kernels::betweenness::betweenness_centrality(&rmat, &bc_config)
-                    .unwrap()
-                    .scores,
-            );
-        },
-    );
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &DISABLED_ARMS);
-
-    record_history(
-        opts,
-        "trace_bfs",
-        &[
-            ("bfs_hybrid/seed".to_string(), bfs_ab.seed.mean),
-            ("bfs_hybrid/instrumented".to_string(), bfs_ab.inst.mean),
-            ("bc_sampled_16src/seed".to_string(), bc_ab.seed.mean),
-            ("bc_sampled_16src/instrumented".to_string(), bc_ab.inst.mean),
-        ],
-    );
-
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        bfs_record,
-        bc_record,
-    );
-    let out = "BENCH_TRACE_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    println!();
+    trace_validate(&[trace_out.to_string()]);
 }
 
-/// `repro obs-overhead` — the introspection-plane disabled-path proof
-/// (`BENCH_OBS_OVERHEAD.json`, budget ≤ 2 %).
+// -------------------------------------------------------- Overhead
+
+/// `repro overhead` — the telemetry and profiler cost proof
+/// (`BENCH_OVERHEAD.json`, budget ≤ 2 % per verdict).
 ///
-/// PR 2 proved the span/counter spine free when disabled; this exhibit
-/// re-proves it for the v2 plane, where the hot kernel loops also carry
-/// per-wave/per-source `Histogram` recording sites.  Same paired-ratio
-/// methodology: interleaved A/B pairs against the uninstrumented seed
-/// kernels, median of per-pair ratios as the headline.  The ledger
-/// records carry the per-arm p50/p99 so `check-regress` renders its
-/// quantile columns.
-fn obs_overhead(opts: Options) {
-    use graphct_bench::history;
+/// On one R-MAT graph, for hybrid BFS (8-source batches) and 16-source
+/// sampled betweenness, two paired comparisons:
+///
+/// * **seed ↔ disabled**, no session live: the uninstrumented seed
+///   kernels (`seed_baseline`) against the instrumented kernels.  This
+///   is what the compiled-in spans, counters and histogram sites cost
+///   while tracing is off.
+/// * **enabled ↔ sampler**, under a `NullSink` session: the
+///   instrumented kernels without and with the 97 Hz wall-clock
+///   sampler.  Spans keep their shadow stacks in both arms, so the ratio
+///   isolates what always-on profiling adds: the sampler's registry walk
+///   and the cache traffic of its seqlock reads.  Profiler start/stop
+///   (worker spawn/join) sit outside the timed region.
+///
+/// Each comparison interleaves pairs, alternates their order and reports
+/// the median of the per-pair ratios.  Exits 1 when either verdict is
+/// over budget or the sampler took no sample on a kernel span.
+fn overhead(opts: Options) {
     use graphct_bench::seed_baseline::{seed_betweenness, SeedHybridBfs};
+    use graphct_bench::timing::{paired_ab, AbOverhead, ArmStats};
     use graphct_kernels::bfs::{BfsConfig, HybridBfs};
+    use std::hint::black_box;
 
-    banner("Obs — introspection plane v2 disabled-path overhead proof");
-    let scale = if opts.quick { 12 } else { 16 };
-    let cfg = graphct_gen::RmatConfig::paper(scale, 16);
-    let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
-    assert!(
-        !graphct_trace::enabled(),
-        "no trace session may be live during the overhead measurement"
-    );
-    let budget_pct = 2.0;
-
-    // BFS arm: instrumented kernel now carries the per-wave histogram
-    // site.  Batched sources so per-sample work dwarfs the timer quantum.
-    let config = BfsConfig::hybrid();
-    let seed_engine = SeedHybridBfs::with_config(&rmat, config);
-    let inst_engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    std::hint::black_box(seed_engine.levels(0));
-    std::hint::black_box(inst_engine.levels(0));
-    let reps = opts.reps.max(50);
-    const BATCH: u32 = 8;
-    let bfs_ab = ab_overhead(
-        reps,
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(seed_engine.levels((s * 37 + 11) % n));
-            }
-        },
-        &mut || {
-            for s in 0..BATCH {
-                std::hint::black_box(inst_engine.levels((s * 37 + 11) % n));
-            }
-        },
-    );
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &DISABLED_ARMS);
-
-    // Betweenness arm: the per-source histogram site sits in the sampled
-    // Brandes accumulation loop.
-    let bc_config = BetweennessConfig {
-        sampling: SamplingSpec::count(16, opts.seed),
-        bfs: config,
-        ..BetweennessConfig::exact()
-    };
-    std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-    std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    let bc_reps = opts.reps.max(30);
-    let bc_ab = ab_overhead(
-        bc_reps,
-        &mut || {
-            std::hint::black_box(seed_betweenness(&rmat, &bc_config).scores);
-        },
-        &mut || {
-            std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-        },
-    );
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &DISABLED_ARMS);
-
-    // Ledger records carry the per-arm sample quantiles so check-regress
-    // can print its p50/p99 columns for these series.
-    let entries: Vec<history::HistoryEntry> = [
-        (
-            "bfs_hybrid/seed",
-            bfs_ab.seed.mean,
-            bfs_ab.seed_p50,
-            bfs_ab.seed_p99,
-        ),
-        (
-            "bfs_hybrid/instrumented",
-            bfs_ab.inst.mean,
-            bfs_ab.inst_p50,
-            bfs_ab.inst_p99,
-        ),
-        (
-            "bc_sampled_16src/seed",
-            bc_ab.seed.mean,
-            bc_ab.seed_p50,
-            bc_ab.seed_p99,
-        ),
-        (
-            "bc_sampled_16src/instrumented",
-            bc_ab.inst.mean,
-            bc_ab.inst_p50,
-            bc_ab.inst_p99,
-        ),
-    ]
-    .iter()
-    .map(|(case, mean, p50, p99)| {
-        history::HistoryEntry::now("obs_overhead", case, opts.quick, *mean)
-            .with_quantiles(*p50, *p99)
-    })
-    .collect();
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            entries.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
-
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
-    let json = format!(
-        "{{\n  \"bench\": \"obs_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
-        rmat.num_vertices(),
-        rmat.num_edges(),
-        bfs_record,
-        bc_record,
-    );
-    let out = "BENCH_OBS_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
-    if !within_budget {
-        eprintln!("disabled-path overhead exceeded the {budget_pct}% budget");
-        std::process::exit(1);
-    }
-}
-
-/// Paired sampler-on/off measurement: the *same* work closure in both
-/// arms, the continuous profiler started for the on-arm.  Start/stop
-/// (refcounted worker spawn/join) happen outside the timed region —
-/// they are lifecycle cost, not the steady-state cost the budget caps —
-/// and the arms alternate order per pair exactly like [`ab_overhead`].
-fn ab_sampler(reps: usize, hz: u32, work: &mut dyn FnMut()) -> AbOverhead {
-    use std::time::Instant;
-
-    let prof = graphct_trace::profiler();
-    let time_one = |run: &mut dyn FnMut()| {
-        let t = Instant::now();
-        run();
-        t.elapsed().as_secs_f64()
-    };
-    let mut off_samples = Vec::with_capacity(reps);
-    let mut on_samples = Vec::with_capacity(reps);
-    for r in 0..reps {
-        if r % 2 == 0 {
-            off_samples.push(time_one(work));
-            prof.start(hz);
-            on_samples.push(time_one(work));
-            prof.stop();
-        } else {
-            prof.start(hz);
-            on_samples.push(time_one(work));
-            prof.stop();
-            off_samples.push(time_one(work));
-        }
-    }
-    ab_from_samples(&off_samples, &on_samples)
-}
-
-/// `repro prof-overhead` — the continuous-profiler cost proof
-/// (`BENCH_PROF_OVERHEAD.json`, budget ≤ 2 %).
-///
-/// Unlike `trace-bfs`/`obs-overhead` (which prove the *disabled* path
-/// free), both arms here run the instrumented kernels under a live
-/// `NullSink` session, so spans maintain their shadow stacks in both;
-/// the B arm additionally runs the wall-clock sampler at its default
-/// 97 Hz.  The paired ratio therefore isolates exactly what always-on
-/// profiling adds to a hot kernel loop: the sampler core's registry
-/// walk plus the cache traffic of its seqlock reads against the worker
-/// threads' shadow stacks.
-fn prof_overhead(opts: Options) {
-    use graphct_bench::history;
-    use graphct_kernels::bfs::{BfsConfig, HybridBfs};
-    use std::sync::Arc;
-
-    banner("Prof — continuous profiler (97 Hz sampler) steady-state overhead proof");
+    banner("Overhead — telemetry disabled path and 97 Hz sampler vs the seed kernels");
     let scale = if opts.quick { 12 } else { 16 };
     let cfg = graphct_gen::RmatConfig::paper(scale, 16);
     let rmat = build_undirected_simple(&graphct_gen::rmat_edges(&cfg, opts.seed)).unwrap();
     let budget_pct = 2.0;
     let hz = graphct_trace::profile::DEFAULT_HZ;
 
-    // Both arms need an enabled session: shadow stacks only carry
-    // frames while spans are live, and an empty registry would make the
-    // sampler artificially cheap.
-    let session = graphct_trace::Session::start(Arc::new(graphct_trace::NullSink));
-    let prof = graphct_trace::profiler();
-    prof.reset();
-
-    // BFS arm.  Batched sources so per-sample work dwarfs the timer
-    // quantum (same batch as the other overhead exhibits).
     let config = BfsConfig::hybrid();
-    let engine = HybridBfs::with_config(&rmat, config);
-    let n = rmat.num_vertices() as u32;
-    std::hint::black_box(engine.levels(0));
-    let reps = opts.reps.max(50);
+    let seed_bfs = SeedHybridBfs::with_config(&rmat, config);
+    let bfs = HybridBfs::with_config(&rmat, config);
+    let nv = rmat.num_vertices() as u32;
+    // Each BFS sample batches sources so per-sample work dwarfs the
+    // timer quantum; each BC call already batches its 16 sources.
     const BATCH: u32 = 8;
-    let bfs_ab = ab_sampler(reps, hz, &mut || {
-        for s in 0..BATCH {
-            std::hint::black_box(engine.levels((s * 37 + 11) % n));
-        }
-    });
-    let bfs_record = report_ab("bfs_hybrid", &bfs_ab, budget_pct, &SAMPLER_ARMS);
-
-    // Betweenness arm: sampled Brandes, one full call per sample.
     let bc_config = BetweennessConfig {
         sampling: SamplingSpec::count(16, opts.seed),
         bfs: config,
         ..BetweennessConfig::exact()
     };
-    std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    // Full-size BC has ~17% per-rep spread on a loaded box; the paired
-    // median needs more pairs there for the ratio's standard error to
-    // sit comfortably inside the 2% budget.
-    let bc_reps = opts.reps.max(if opts.quick { 30 } else { 50 });
-    let bc_ab = ab_sampler(bc_reps, hz, &mut || {
-        std::hint::black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
-    });
-    let bc_record = report_ab("bc_sampled_16src", &bc_ab, budget_pct, &SAMPLER_ARMS);
+    let seed_bfs_work = || {
+        for s in 0..BATCH {
+            black_box(seed_bfs.levels((s * 37 + 11) % nv));
+        }
+    };
+    let bfs_work = || {
+        for s in 0..BATCH {
+            black_box(bfs.levels((s * 37 + 11) % nv));
+        }
+    };
+    let seed_bc_work = || {
+        black_box(seed_betweenness(&rmat, &bc_config).scores);
+    };
+    let bc_work = || {
+        black_box(betweenness_centrality(&rmat, &bc_config).unwrap().scores);
+    };
+    // (kernel, seed arm, instrumented arm, disabled pairs, sampler pairs)
+    type Work<'a> = &'a dyn Fn();
+    let kernels: [(&str, Work, Work, usize, usize); 2] = [
+        (
+            "bfs_hybrid",
+            &seed_bfs_work,
+            &bfs_work,
+            opts.reps.max(50),
+            opts.reps.max(50),
+        ),
+        (
+            "bc_sampled_16src",
+            &seed_bc_work,
+            &bc_work,
+            opts.reps.max(30),
+            // Full-size BC has ~17% per-rep spread on a loaded box; the
+            // sampler pairs need more reps there for the median ratio's
+            // standard error to sit comfortably inside the budget.
+            opts.reps.max(if opts.quick { 30 } else { 50 }),
+        ),
+    ];
 
+    assert!(
+        !graphct_trace::enabled(),
+        "no trace session may be live during the disabled-path pairs"
+    );
+    let disabled: Vec<AbOverhead> = kernels
+        .iter()
+        .map(|&(_, seed, inst, reps, _)| {
+            seed();
+            inst();
+            paired_ab(reps, &mut || time_once(seed), &mut || time_once(inst))
+        })
+        .collect();
+
+    // Shadow stacks only carry frames while spans are live, and an empty
+    // registry would make the sampler artificially cheap.
+    let session = graphct_trace::Session::start(std::sync::Arc::new(graphct_trace::NullSink));
+    let prof = graphct_trace::profiler();
+    prof.reset();
+    let sampler: Vec<AbOverhead> = kernels
+        .iter()
+        .map(|&(_, _, inst, _, reps)| {
+            inst();
+            paired_ab(reps, &mut || time_once(inst), &mut || {
+                prof.start(hz);
+                let t = time_once(inst);
+                prof.stop();
+                t
+            })
+        })
+        .collect();
     // The on-arms really sampled kernel stacks (a zero here would mean
-    // the B arm measured nothing).
+    // the sampler arm measured nothing).
     let samples = prof.samples_total();
     let kernel_stacks: u64 = prof
         .fold()
@@ -1657,72 +1255,97 @@ fn prof_overhead(opts: Options) {
         .filter(|(path, _)| path.contains(";bfs") || path.contains(";bc"))
         .map(|(_, c)| c)
         .sum();
+    prof.reset();
+    session.finish();
     println!(
         "sampler evidence: {samples} samples across the on-arms, {kernel_stacks} on kernel spans"
     );
-    if samples == 0 || kernel_stacks == 0 {
-        eprintln!("sampler took no kernel-span samples; the on-arm measured nothing");
-        std::process::exit(1);
-    }
-    prof.reset();
-    session.finish();
 
-    let entries: Vec<history::HistoryEntry> = [
-        (
-            "bfs_hybrid/sampler_off",
-            bfs_ab.seed.mean,
-            bfs_ab.seed_p50,
-            bfs_ab.seed_p99,
-        ),
-        (
-            "bfs_hybrid/sampler_on",
-            bfs_ab.inst.mean,
-            bfs_ab.inst_p50,
-            bfs_ab.inst_p99,
-        ),
-        (
-            "bc_sampled_16src/sampler_off",
-            bc_ab.seed.mean,
-            bc_ab.seed_p50,
-            bc_ab.seed_p99,
-        ),
-        (
-            "bc_sampled_16src/sampler_on",
-            bc_ab.inst.mean,
-            bc_ab.inst_p50,
-            bc_ab.inst_p99,
-        ),
-    ]
-    .iter()
-    .map(|(case, mean, p50, p99)| {
-        history::HistoryEntry::now("prof_overhead", case, opts.quick, *mean)
-            .with_quantiles(*p50, *p99)
-    })
-    .collect();
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &entries) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            entries.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
+    let arm_json = |arm: &ArmStats| {
+        format!(
+            "{{\"min_s\": {:.6}, \"mean_s\": {:.6}, \"p50_s\": {:.6}, \"p99_s\": {:.6}, \"std_dev_s\": {:.6}, \"ci90_s\": {:.6}}}",
+            arm.min, arm.summary.mean, arm.p50, arm.p99, arm.summary.std_dev, arm.summary.ci90
+        )
+    };
+    let verdict_json = |ab: &AbOverhead| {
+        format!(
+            "{{\"reps\": {}, \"median_of_paired_ratios\": {:.4}, \"min_vs_min\": {:.4}, \"mean_vs_mean\": {:.4}, \"within_budget\": {}}}",
+            ab.reps,
+            ab.overhead_pct,
+            ab.min_overhead_pct,
+            ab.mean_overhead_pct,
+            ab.within_budget(budget_pct)
+        )
+    };
+    let mut t = Table::new(&[
+        "kernel", "arm", "reps", "min s", "mean s", "p50 s", "p99 s", "ci90 s",
+    ]);
+    let mut records = Vec::new();
+    let mut ledger = Vec::new();
+    let mut verdicts = Vec::new();
+    for ((kernel, ..), (dis, samp)) in kernels.iter().zip(disabled.iter().zip(&sampler)) {
+        let arms = [
+            ("seed", &dis.a, dis.reps),
+            ("disabled", &dis.b, dis.reps),
+            ("enabled", &samp.a, samp.reps),
+            ("sampler", &samp.b, samp.reps),
+        ];
+        for (arm, stats, reps) in arms {
+            t.row(&[
+                (*kernel).into(),
+                arm.into(),
+                n(reps),
+                f(stats.min, 6),
+                f(stats.summary.mean, 6),
+                f(stats.p50, 6),
+                f(stats.p99, 6),
+                f(stats.summary.ci90, 6),
+            ]);
+            ledger.push((
+                format!("{kernel}/{arm}"),
+                stats.summary.mean,
+                Some((stats.p50, stats.p99)),
+            ));
+        }
+        verdicts.push((*kernel, "disabled-path", dis));
+        verdicts.push((*kernel, "sampler", samp));
+        records.push(format!(
+            "    {{\n      \"kernel\": \"{kernel}\",\n{},\n      \"disabled_overhead_pct\": {},\n      \"sampler_overhead_pct\": {}\n    }}",
+            arms.iter()
+                .map(|(arm, stats, _)| format!("      \"{arm}\": {}", arm_json(stats)))
+                .collect::<Vec<_>>()
+                .join(",\n"),
+            verdict_json(dis),
+            verdict_json(samp),
+        ));
     }
+    t.print();
+    for (kernel, what, ab) in &verdicts {
+        println!(
+            "{kernel} {what} overhead: {:+.2}% median-of-paired-ratios \
+             ({:+.2}% min-vs-min, {:+.2}% mean-vs-mean; budget {budget_pct}%) \
+             over {} interleaved reps",
+            ab.overhead_pct, ab.min_overhead_pct, ab.mean_overhead_pct, ab.reps
+        );
+    }
+    record_history(opts, "overhead", &ledger);
 
-    let within_budget = bfs_ab.overhead_pct <= budget_pct && bc_ab.overhead_pct <= budget_pct;
+    let within_budget = verdicts.iter().all(|(.., ab)| ab.within_budget(budget_pct));
     let json = format!(
-        "{{\n  \"bench\": \"prof_overhead\",\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"sampler_hz\": {hz},\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"results\": [\n{},\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
+        "{{\n  \"bench\": \"overhead\",\n  \"quick\": {},\n  \"seed\": {},\n  \"graph\": \"rmat scale {scale}\",\n  \"vertices\": {},\n  \"edges\": {},\n  \"frontier\": \"Hybrid\",\n  \"bfs_sources_per_sample\": {BATCH},\n  \"sampler_hz\": {hz},\n  \"overhead_metric\": \"median_of_paired_ratios\",\n  \"budget_pct\": {budget_pct},\n  \"sampler_evidence\": {{\"samples\": {samples}, \"kernel_span_samples\": {kernel_stacks}}},\n  \"results\": [\n{}\n  ],\n  \"within_budget\": {within_budget}\n}}\n",
+        opts.quick,
+        opts.seed,
         rmat.num_vertices(),
         rmat.num_edges(),
-        bfs_record,
-        bc_record,
+        records.join(",\n"),
     );
-    let out = "BENCH_PROF_OVERHEAD.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
+    write_json("BENCH_OVERHEAD.json", &json);
+    if samples == 0 || kernel_stacks == 0 {
+        eprintln!("sampler took no kernel-span samples; the sampler arm measured nothing");
+        std::process::exit(1);
     }
     if !within_budget {
-        eprintln!("sampler overhead exceeded the {budget_pct}% budget");
+        eprintln!("overhead exceeded the {budget_pct}% budget");
         std::process::exit(1);
     }
 }
@@ -1743,13 +1366,7 @@ fn median_of(samples: &[f64]) -> f64 {
 
 /// Wall-clock samples of `op`, one per rep.
 fn time_samples(reps: usize, mut op: impl FnMut()) -> Vec<f64> {
-    (0..reps)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            op();
-            t.elapsed().as_secs_f64()
-        })
-        .collect()
+    (0..reps).map(|_| time_once(&mut op)).collect()
 }
 
 /// One timed cell of the reorder exhibit.
@@ -1898,12 +1515,13 @@ fn reorder_exhibit(opts: Options) {
         best.ordering, best.graph, best.kernel, best.speedup
     );
 
-    let history: Vec<(String, f64)> = cells
+    let history: Vec<LedgerCase> = cells
         .iter()
         .map(|c| {
             (
                 format!("{}/{}/{}", c.graph, c.kernel, c.ordering),
                 c.summary.mean,
+                None,
             )
         })
         .collect();
@@ -1948,11 +1566,7 @@ fn reorder_exhibit(opts: Options) {
         best.speedup,
         best.speedup >= 1.10,
     );
-    let out = "BENCH_REORDER.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_REORDER.json", &json);
 }
 
 /// `repro triangles` — the triadic-engine exhibit (`BENCH_TRIANGLES.json`).
@@ -2092,12 +1706,13 @@ fn triangles_exhibit(opts: Options) {
         degree_speedup("broadcast-hub")
     );
 
-    let history: Vec<(String, f64)> = cells
+    let history: Vec<LedgerCase> = cells
         .iter()
         .map(|c| {
             (
                 format!("{}/{}/{}", c.graph, c.kernel, c.ordering),
                 c.summary.mean,
+                None,
             )
         })
         .collect();
@@ -2153,11 +1768,7 @@ fn triangles_exhibit(opts: Options) {
         rmat_ratio > 1.0,
         degree_speedup(&rmat_name) >= 1.0,
     );
-    let out = "BENCH_TRIANGLES.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_TRIANGLES.json", &json);
 }
 
 /// Natural-order BFS levels for each source in the batch.
@@ -2293,9 +1904,9 @@ fn msbfs_exhibit(opts: Options) {
     );
     let batch64_beats_rayon = rmat_batch64.speedup > 1.0;
 
-    let history: Vec<(String, f64)> = cells
+    let history: Vec<LedgerCase> = cells
         .iter()
-        .map(|c| (format!("{}/{}", c.graph, c.engine), c.summary.mean))
+        .map(|c| (format!("{}/{}", c.graph, c.engine), c.summary.mean, None))
         .collect();
     record_history(opts, "msbfs", &history);
 
@@ -2332,11 +1943,7 @@ fn msbfs_exhibit(opts: Options) {
         results.join(",\n"),
         batch64_beats_rayon,
     );
-    let out = "BENCH_MSBFS.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_MSBFS.json", &json);
 }
 
 /// Raw-TCP GET against the in-process serve instance (the workspace has
@@ -2391,7 +1998,6 @@ fn serve_envelope(body: &str) -> (u64, graphct_trace::json::Json) {
 /// paper's kernels.  The full (non-`--quick`) run must sustain at least
 /// 100 queries/sec across the mixed workload or the exhibit exits 1.
 fn serve_load(opts: Options) {
-    use graphct_bench::history;
     use graphct_kernels::top_k_betweenness;
     use graphct_obs::{bc_seed, query_bc_config, start, ServeConfig};
     use graphct_trace::json::Json;
@@ -2587,20 +2193,13 @@ fn serve_load(opts: Options) {
             p90 * 1e3,
             p99 * 1e3,
         ));
-        ledger.push(
-            history::HistoryEntry::now("serve_load", label, opts.quick, mean_s)
-                .with_quantiles(p50, p99),
-        );
+        ledger.push(((*label).to_owned(), mean_s, Some((p50, p99))));
     }
-    ledger.push(
-        history::HistoryEntry::now(
-            "serve_load",
-            "snapshot_refresh",
-            opts.quick,
-            refresh_mean_ms / 1e3,
-        )
-        .with_quantiles(refresh_p50_ms / 1e3, refresh_p99_ms / 1e3),
-    );
+    ledger.push((
+        "snapshot_refresh".to_owned(),
+        refresh_mean_ms / 1e3,
+        Some((refresh_p50_ms / 1e3, refresh_p99_ms / 1e3)),
+    ));
     table.print();
     println!(
         "{total} queries from {clients} clients in {:.2}s -> {:.0} queries/sec (floor {qps_floor})",
@@ -2610,14 +2209,7 @@ fn serve_load(opts: Options) {
         "snapshot refresh: {refresh_count} freezes, mean {:.3} ms, p50 {:.3} ms, p99 {:.3} ms",
         refresh_mean_ms, refresh_p50_ms, refresh_p99_ms
     );
-    match history::append(std::path::Path::new(history::DEFAULT_PATH), &ledger) {
-        Ok(()) => println!(
-            "appended {} records (with quantiles) to {}",
-            ledger.len(),
-            history::DEFAULT_PATH
-        ),
-        Err(e) => eprintln!("could not append to {}: {e}", history::DEFAULT_PATH),
-    }
+    record_history(opts, "serve_load", &ledger);
 
     let sustained = qps >= qps_floor;
     let json = format!(
@@ -2631,11 +2223,7 @@ fn serve_load(opts: Options) {
         refresh_p50_ms,
         refresh_p99_ms,
     );
-    let out = "BENCH_SERVE.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
+    write_json("BENCH_SERVE.json", &json);
     if !opts.quick && !sustained {
         eprintln!("sustained {qps:.0} queries/sec is below the {qps_floor} floor");
         std::process::exit(1);

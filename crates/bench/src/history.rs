@@ -408,15 +408,15 @@ mod tests {
     #[test]
     fn quantile_row_format_is_pinned() {
         let row = QuantileRow {
-            bench: "obs_overhead".into(),
-            case: "bfs_hybrid/instrumented".into(),
+            bench: "overhead".into(),
+            case: "bfs_hybrid/disabled".into(),
             quick: true,
             p50_s: 0.012345,
             p99_s: 0.098765,
         };
         assert_eq!(
             row.render(),
-            "obs_overhead / bfs_hybrid/instrumented (quick): p50 0.0123s  p99 0.0988s"
+            "overhead / bfs_hybrid/disabled (quick): p50 0.0123s  p99 0.0988s"
         );
         let full = QuantileRow {
             quick: false,
@@ -424,7 +424,7 @@ mod tests {
         };
         assert_eq!(
             full.render(),
-            "obs_overhead / bfs_hybrid/instrumented: p50 0.0123s  p99 0.0988s"
+            "overhead / bfs_hybrid/disabled: p50 0.0123s  p99 0.0988s"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Uninstrumented seed-kernel copies for overhead measurement.
 //!
-//! `repro trace-bfs` must show that the telemetry hooks threaded through
+//! `repro overhead` must show that the telemetry hooks threaded through
 //! the kernels cost nothing measurable while tracing is *disabled*
 //! (budget: ≤ 2 %).  The honest control is the kernel exactly as it
 //! shipped before instrumentation, so this module carries faithful
@@ -14,8 +14,12 @@
 //! execute the *same compiled* hot loops, otherwise the measurement
 //! picks up duplicate-codegen and code-layout luck instead of the
 //! instrumentation cost (observed at several percent — larger than the
-//! effect under test).  Only the driver loops, where every telemetry
-//! hook lives, are duplicated here in their seed form.
+//! effect under test).  Each is non-generic, so it is compiled once, in
+//! the kernels crate, and both drivers call that one symbol; the BFS
+//! level bodies are also `#[inline(never)]`: a generic body gets inlined
+//! into each driver separately, which put the BFS arms 2–4 % apart.
+//! Only the driver loops, where every telemetry hook lives, are
+//! duplicated here in their seed form.
 
 use graphct_core::{CsrGraph, VertexId};
 use graphct_kernels::betweenness::{

@@ -101,6 +101,13 @@ pub trait GraphView: Sync {
             .expect("a GraphView yields consistent CSR arrays")
     }
 
+    /// The heap [`CsrGraph`] this view reads from, if it is one.  Kernels
+    /// use it to route every CSR-backed view through one compiled copy
+    /// of a hot loop instead of one per backend type.
+    fn as_csr(&self) -> Option<&CsrGraph> {
+        None
+    }
+
     /// The transpose (all arcs reversed) as a plain [`CsrGraph`].
     ///
     /// Kernels that pull along in-edges (direction-optimizing BFS on
@@ -172,6 +179,10 @@ impl GraphView for CsrGraph {
         self.clone()
     }
 
+    fn as_csr(&self) -> Option<&CsrGraph> {
+        Some(self)
+    }
+
     fn transpose_csr(&self) -> CsrGraph {
         self.transpose()
     }
@@ -215,6 +226,10 @@ impl GraphView for ReorderedView {
 
     fn to_csr(&self) -> CsrGraph {
         self.graph().clone()
+    }
+
+    fn as_csr(&self) -> Option<&CsrGraph> {
+        Some(self.graph())
     }
 
     fn transpose_csr(&self) -> CsrGraph {
@@ -263,6 +278,7 @@ mod tests {
             assert_view_matches(&g, &g);
             assert_eq!(g.to_csr(), g);
             assert_eq!(GraphView::transpose_csr(&g), g.transpose());
+            assert!(std::ptr::eq(g.as_csr().unwrap(), &g));
         }
     }
 
@@ -297,6 +313,7 @@ mod tests {
             assert_eq!(view.to_csr(), g);
             assert_eq!(view.transpose_csr(), g.transpose());
             assert_eq!(view.degrees(), g.degrees());
+            assert!(view.as_csr().is_none());
         }
     }
 
@@ -307,5 +324,6 @@ mod tests {
         let view = ReorderedView::with_permutation(&g, perm, crate::reorder::ReorderKind::Shuffle);
         assert_view_matches(&view, view.graph());
         assert_eq!(view.to_csr(), *view.graph());
+        assert!(std::ptr::eq(view.as_csr().unwrap(), view.graph()));
     }
 }

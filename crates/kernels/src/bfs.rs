@@ -393,7 +393,7 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
                 Direction::Push => {
                     level_inspected = frontier_edges;
                     push_edges += frontier_edges;
-                    push_level(self.graph, &frontier.into_sparse(), &levels, depth + 1)
+                    self.push_level(&frontier.into_sparse(), &levels, depth + 1)
                 }
                 Direction::Pull => {
                     refresh_unvisited(&levels, n, &mut unvisited, &mut unvisited_built);
@@ -502,18 +502,27 @@ impl<'g, G: GraphView> HybridBfs<'g, G> {
         )
     }
 
-    /// Bottom-up step (see [`pull_level`]).  Dispatches on whether a
-    /// transpose was cached; for `G = CsrGraph` both arms instantiate
-    /// the same `pull_level::<CsrGraph>` body the seed baseline calls.
+    /// Top-down step.  A CSR-backed graph runs the one out-of-line
+    /// [`push_level`] body the seed baseline also calls; other backends
+    /// get their own instance of the same loop.
+    fn push_level(&self, frontier: &[VertexId], levels: &AtomicU32Array, depth: u32) -> Frontier {
+        match self.graph.as_csr() {
+            Some(csr) => push_level(csr, frontier, levels, depth),
+            None => push_level_in(self.graph, frontier, levels, depth),
+        }
+    }
+
+    /// Bottom-up step over the cached transpose, or the graph itself
+    /// when it is its own transpose; routed like [`Self::push_level`].
     fn pull_level(
         &self,
         levels: &AtomicU32Array,
         depth: u32,
         unvisited: &[VertexId],
     ) -> (Frontier, usize) {
-        match &self.transpose {
-            Some(t) => pull_level(t, levels, depth, unvisited),
-            None => pull_level(self.graph, levels, depth, unvisited),
+        match self.transpose.as_ref().or(self.graph.as_csr()) {
+            Some(csr) => pull_level(csr, levels, depth, unvisited),
+            None => pull_level_in(self.graph, levels, depth, unvisited),
         }
     }
 
@@ -674,12 +683,25 @@ pub fn refresh_unvisited(
 /// suffices (no claim contention, unlike push).  The caller guarantees
 /// `unvisited` holds exactly the vertices with no level yet.
 ///
+/// Non-generic and never inlined, so it is compiled exactly once, here.
 /// Exposed (hidden) so the bench crate's uninstrumented seed baseline
-/// shares this exact compiled body — the overhead ablation must differ
-/// only in the instrumentation, not in duplicate codegen of the hot
-/// loops.
+/// calls the same compiled body as [`HybridBfs`] — the overhead
+/// ablation must differ only in the instrumentation, not in duplicate
+/// codegen or code layout of the hot loops.
 #[doc(hidden)]
-pub fn pull_level<G: GraphView>(
+#[inline(never)]
+pub fn pull_level(
+    in_csr: &CsrGraph,
+    levels: &AtomicU32Array,
+    depth: u32,
+    unvisited: &[VertexId],
+) -> (Frontier, usize) {
+    pull_level_in(in_csr, levels, depth, unvisited)
+}
+
+/// [`pull_level`] over any backend.
+#[inline]
+fn pull_level_in<G: GraphView>(
     in_csr: &G,
     levels: &AtomicU32Array,
     depth: u32,
@@ -709,9 +731,22 @@ pub fn pull_level<G: GraphView>(
 /// compare-exchange on the level array (the atomic-claim idiom standing
 /// in for the XMT's synchronized memory words).
 ///
-/// Exposed (hidden) for the bench seed baseline — see [`pull_level`].
+/// Compiled once and exposed for the bench seed baseline, like
+/// [`pull_level`].
 #[doc(hidden)]
-pub fn push_level<G: GraphView>(
+#[inline(never)]
+pub fn push_level(
+    graph: &CsrGraph,
+    frontier: &[VertexId],
+    levels: &AtomicU32Array,
+    next_depth: u32,
+) -> Frontier {
+    push_level_in(graph, frontier, levels, next_depth)
+}
+
+/// [`push_level`] over any backend.
+#[inline]
+fn push_level_in<G: GraphView>(
     graph: &G,
     frontier: &[VertexId],
     levels: &AtomicU32Array,

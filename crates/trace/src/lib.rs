@@ -6,8 +6,9 @@
 //!    `span!`, `event!`, `Counter::add` — starts with one relaxed load of
 //!    a process-global [`AtomicBool`]; when no session is active nothing
 //!    else runs (the `span!`/`event!` macros do not even evaluate their
-//!    field expressions).  `repro trace-bfs` proves the compiled-in cost
-//!    against faithful pre-instrumentation kernel copies.
+//!    field expressions).  `repro overhead` proves the compiled-in cost
+//!    against faithful pre-instrumentation kernel copies
+//!    (`BENCH_OVERHEAD.json`).
 //! 2. **Zero dependencies.**  std only, so the crate can sit under every
 //!    other workspace crate without cycles or registry access.
 //! 3. **Pluggable output.**  A [`Session`] binds one [`Sink`]:

@@ -1,8 +1,9 @@
 //! JSON-lines record validation.
 //!
-//! The event schema is documented in DESIGN.md § Observability; CI runs
-//! the validator over every trace produced by `repro trace-bfs` so the
-//! documented schema and the emitted records cannot drift apart.
+//! The event schema is documented in DESIGN.md § Observability.
+//! `repro trace-bfs` runs the validator over the trace it writes, and CI
+//! runs it over that trace and the serve smoke's, so the documented
+//! schema and the emitted records cannot drift apart.
 
 use crate::json::{parse, Json};
 
